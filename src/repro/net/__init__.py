@@ -12,7 +12,8 @@ own OS process, interpreter, and GIL (see ``docs/deployment.md``).
 Layers:
 
 - :mod:`repro.net.codec` — JSON-safe, length-prefixed wire codec for the
-  protocol messages and :class:`~repro.core.command.Command`.
+  protocol messages and :class:`~repro.core.command.Command`, and the
+  codec registry; :mod:`repro.net.bincodec` is the default binary wire.
 - :mod:`repro.net.transport` — :class:`TcpTransport`: asyncio server +
   per-peer outbound queues with reconnect/backoff/jitter.
 - :mod:`repro.net.replica` — :class:`ReplicaServer`: one replica (protocol

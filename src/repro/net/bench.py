@@ -23,6 +23,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.core.command import Command
 from repro.net.client import NetClient
+from repro.net.codec import DEFAULT_WIRE
 from repro.net.config import NetConfig, loopback_config
 from repro.net.supervisor import Supervisor
 from repro.obs import MetricsRegistry
@@ -47,7 +48,7 @@ class NetBenchConfig:
     workers: int = 4
     engine: str = "threaded"        # "threaded" | "mp" (repro.par)
     mp_workers: int = 2             # shard processes per replica under mp
-    wire: str = "json"              # wire codec (docs/wire.md)
+    wire: str = DEFAULT_WIRE        # wire codec (docs/wire.md)
     propose_linger: Optional[float] = None  # None -> heartbeat/10
     cumulative_acks: bool = True
     lease_duration: Optional[float] = None  # None -> 0.8x leader timeout
@@ -129,7 +130,7 @@ def run_net_bench(config: NetBenchConfig,
         nonlocal executed, errors
         workload = WorkloadGenerator(
             config.write_pct, key_space=500,
-            seed=config.seed * 1_000 + index)
+            seed=config.seed * 1_000 + index, service=config.service)
         client = NetClient(
             f"bench-{index}", net,
             contact=index % config.n_replicas,

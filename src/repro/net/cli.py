@@ -31,7 +31,7 @@ from typing import List, Optional
 
 from repro.core import COS_ALGORITHMS
 from repro.net.bench import NetBenchConfig, run_net_bench
-from repro.net.codec import WIRE_NAMES
+from repro.net.codec import DEFAULT_WIRE, WIRE_NAMES
 from repro.net.client import NetClient
 from repro.net.config import SERVICES, NetConfig, loopback_config
 from repro.net.replica import ReplicaServer
@@ -56,7 +56,7 @@ def _add_cluster_options(parser: argparse.ArgumentParser) -> None:
                              "worker processes (docs/parallel_execution.md)")
     parser.add_argument("--mp-workers", type=int, default=2,
                         help="shard processes per replica with --engine mp")
-    parser.add_argument("--wire", default="json", choices=WIRE_NAMES,
+    parser.add_argument("--wire", default=DEFAULT_WIRE, choices=WIRE_NAMES,
                         help="wire codec on every TCP connection "
                              "(docs/wire.md)")
     parser.add_argument("--propose-linger", type=float, default=None,
@@ -262,7 +262,7 @@ def _cmd_client(args: argparse.Namespace) -> int:
     with open(args.config) as handle:
         config = NetConfig.from_json(handle.read())
     workload = WorkloadGenerator(args.write_pct, key_space=500,
-                                 seed=args.seed)
+                                 seed=args.seed, service=config.service)
     client = NetClient("cli-client", config, contact=args.contact)
     executed = 0
     errors = 0

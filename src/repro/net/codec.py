@@ -56,6 +56,7 @@ __all__ = [
     "CodecError",
     "WIRE_TYPES",
     "WIRE_NAMES",
+    "DEFAULT_WIRE",
     "MAX_FRAME",
     "encode",
     "decode",
@@ -226,6 +227,9 @@ class _JsonWire:
 
 #: Selectable wire codecs (``NetConfig.wire`` / ``TcpTransport(wire=)``).
 WIRE_NAMES = ("json", "binary")
+
+#: The codec every deployment uses unless told otherwise (docs/wire.md).
+DEFAULT_WIRE = "binary"
 
 JSON_WIRE = _JsonWire()
 

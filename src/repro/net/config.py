@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.apps import SERVICES
 from repro.core.cos import DEFAULT_MAX_SIZE
 from repro.errors import ConfigurationError
-from repro.net.codec import WIRE_NAMES
+from repro.net.codec import DEFAULT_WIRE, WIRE_NAMES
 
 __all__ = ["NetConfig", "SERVICES", "free_port", "loopback_config"]
 
@@ -55,10 +55,11 @@ class NetConfig:
     engine: str = "threaded"
     #: Shard worker processes per replica when ``engine == "mp"``.
     mp_workers: int = 2
-    #: Wire codec on every TCP connection: "json" (tagged JSON, the v0
-    #: framing) or "binary" (compact framing; see docs/wire.md).  All
-    #: replicas and clients of one deployment must agree.
-    wire: str = "json"
+    #: Wire codec on every TCP connection: "binary" (compact framing, the
+    #: default) or "json" (tagged JSON, readable when debugging; see
+    #: docs/wire.md).  All replicas and clients of one deployment must
+    #: agree.
+    wire: str = DEFAULT_WIRE
     max_graph_size: int = DEFAULT_MAX_SIZE
     batch_size: int = 64
     heartbeat_interval: float = 0.05
@@ -185,7 +186,7 @@ def loopback_config(n_replicas: int = 3, metrics: bool = False,
     # REPRO_NET_WIRE lets CI run the same deployment tests once per codec
     # without threading a flag through every fixture.
     if "wire" not in overrides:
-        overrides["wire"] = os.environ.get("REPRO_NET_WIRE", "json")
+        overrides["wire"] = os.environ.get("REPRO_NET_WIRE", DEFAULT_WIRE)
     config = NetConfig(addresses=addresses, **overrides)
     config.validate()
     return config

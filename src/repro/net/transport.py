@@ -3,20 +3,26 @@
 One :class:`TcpTransport` serves one node (a replica or a client process).
 It runs a private asyncio event loop on a daemon thread:
 
-- a TCP **server** listens on the node's endpoint; every received frame is
-  decoded and either intercepted (client envelopes) or enqueued into the
-  node's inbox queue — the same ``queue.Queue[(src, msg)]`` that
-  :class:`~repro.broadcast.node.ThreadedNode` consumes;
-- each known peer gets a lazily started **pump task** draining a bounded
-  per-peer outbound queue over one connection, reconnecting with
-  exponential backoff plus jitter when the peer is down;
+- a TCP **server** listens on the node's endpoint; every connection is read
+  in bulk (up to :data:`READ_BYTES` per read) and every complete frame in
+  the buffer is decoded and either intercepted (client envelopes) or
+  enqueued into the node's inbox queue — the same
+  ``queue.Queue[(src, msg)]`` that :class:`~repro.broadcast.node.ThreadedNode`
+  consumes;
+- :meth:`TcpTransport.send` encodes in the caller's thread and appends the
+  frame to a pending list; the loop thread is woken once per burst, not
+  once per frame, and moves the whole list into the per-peer outboxes;
+- each known peer gets a lazily started **pump task** draining its bounded
+  outbox over one connection, many frames per ``write`` + ``drain`` (up to
+  :data:`MAX_WRITE_BYTES`), reconnecting with exponential backoff plus
+  jitter when the peer is down;
 - :meth:`close` cancels the pumps, closes connections and the server, and
   stops the loop (graceful: a best-effort flush happens first).
 
 Loss semantics: TCP gives per-connection FIFO, but a peer crash drops the
-frames buffered for it beyond the queue bound, and reconnection loses
-whatever was in flight — exactly the fair-lossy link model the broadcast
-protocols already tolerate.
+frames buffered for it beyond the queue bound, and a broken connection may
+lose or repeat the whole batch that was in flight on it — exactly the
+fair-lossy link model the broadcast protocols already tolerate.
 """
 
 from __future__ import annotations
@@ -25,19 +31,42 @@ import asyncio
 import queue
 import random
 import threading
-from typing import Any, Callable, Dict, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, ShutdownError
-from repro.net.codec import CodecError, wire_codec
+from repro.net.codec import DEFAULT_WIRE, CodecError, wire_codec
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
 
 __all__ = ["TcpTransport"]
 
-#: Outbound frames buffered per peer while it is unreachable.
+#: Outbound frames buffered per peer, queued plus in flight.
 DEFAULT_QUEUE_LIMIT = 1024
+
+#: Bytes one pump write may coalesce (a single larger frame goes alone).
+MAX_WRITE_BYTES = 256 * 1024
+
+#: Bytes one receive may take from a connection.
+READ_BYTES = 64 * 1024
 
 #: (src, msg) -> True if consumed before the inbox (client envelopes).
 Interceptor = Callable[[int, Any], bool]
+
+
+class _Peer:
+    """Outbound state of one peer; touched by the loop thread only."""
+
+    __slots__ = ("outbox", "inflight", "wake", "pump")
+
+    def __init__(self) -> None:
+        #: Frames waiting for the pump, oldest first.
+        self.outbox: Deque[bytes] = deque()
+        #: The batch being written and drained.  It counts against the
+        #: queue bound with the outbox, and the gauge counts it too.
+        self.inflight: List[bytes] = []
+        #: Set when frames arrive; the idle pump waits on it.
+        self.wake = asyncio.Event()
+        self.pump: Optional[asyncio.Task] = None
 
 
 class TcpTransport:
@@ -53,7 +82,7 @@ class TcpTransport:
         backoff_max: float = 2.0,
         seed: Optional[int] = None,
         registry: Optional[MetricsRegistry] = None,
-        wire: str = "json",
+        wire: str = DEFAULT_WIRE,
     ):
         if node_id not in addresses:
             raise ConfigurationError(
@@ -86,13 +115,12 @@ class TcpTransport:
         self._inbox: "queue.Queue[Tuple[int, Any]]" = queue.Queue()
         self._closed = False
         self._loop = asyncio.new_event_loop()
-        self._outboxes: Dict[int, asyncio.Queue] = {}   # loop thread only
-        self._pumps: Dict[int, asyncio.Task] = {}       # loop thread only
-        #: Frames popped from an outbox but not yet written+drained, per
-        #: peer (0 or 1); loop thread only.  The depth gauge counts these,
-        #: otherwise a down peer's last frame disappears from the gauge
-        #: while the pump retries it forever.
-        self._inflight: Dict[int, int] = {}
+        #: Encoded frames not yet handed to the loop thread, and whether a
+        #: flush is already scheduled to take them (both under the lock).
+        self._pending: List[Tuple[int, bytes]] = []
+        self._pending_lock = threading.Lock()
+        self._flush_scheduled = False
+        self._peers: Dict[int, _Peer] = {}              # loop thread only
         self._connections: set = set()                  # loop thread only
         self._server: Optional[asyncio.AbstractServer] = None
         self._ready = threading.Event()
@@ -194,7 +222,8 @@ class TcpTransport:
             # through EOF instead of cancellation.
             for writer in list(self._connections):
                 writer.close()
-            pumps = list(self._pumps.values())
+            pumps = [peer.pump for peer in self._peers.values()
+                     if peer.pump is not None]
             for task in pumps:
                 task.cancel()
             await asyncio.gather(*pumps, return_exceptions=True)
@@ -234,9 +263,18 @@ class TcpTransport:
         if self._obs_on:
             self._m_codec_tx_frames.inc()
             self._m_codec_tx_bytes.inc(len(frame))
+        # One loop wakeup per burst: only the send that finds no flush
+        # scheduled pays for call_soon_threadsafe.
+        with self._pending_lock:
+            self._pending.append((dst, frame))
+            if self._flush_scheduled:
+                return
+            self._flush_scheduled = True
         try:
-            self._loop.call_soon_threadsafe(self._enqueue, dst, frame)
+            self._loop.call_soon_threadsafe(self._flush)
         except RuntimeError as error:  # loop already closed
+            with self._pending_lock:
+                self._flush_scheduled = False
             raise ShutdownError("transport is closed") from error
 
     def add_peer(self, node_id: int, host: str, port: int) -> None:
@@ -284,26 +322,45 @@ class TcpTransport:
         self._connections.add(writer)
         codec = self._codec
         header_size = codec.header_size
+        buffer = b""
+        missing = 0  # bytes still due for the frame at the buffer's head
         try:
             while True:
-                header = await reader.readexactly(header_size)
-                try:
-                    length = codec.body_length(header)
-                except CodecError:
-                    # Corrupt prefix — or a peer speaking the other wire
-                    # codec (the binary magic/version check lands here).
-                    break
-                body = await reader.readexactly(length)
-                try:
-                    src, msg = codec.decode_frame(body)
-                except CodecError:
-                    break  # corrupt peer: drop the connection
-                if self._obs_on:
-                    self._m_recv_frames.inc()
-                    self._m_recv_bytes.inc(header_size + length)
-                    self._m_codec_rx_frames.inc()
-                    self._m_codec_rx_bytes.inc(header_size + length)
-                self._dispatch(src, msg)
+                if missing > READ_BYTES:
+                    # A large frame: take its remainder in one read rather
+                    # than regrowing the buffer every READ_BYTES.
+                    buffer += await reader.readexactly(missing)
+                else:
+                    chunk = await reader.read(READ_BYTES)
+                    if not chunk:
+                        break  # EOF; a partial trailing frame is dropped
+                    buffer = buffer + chunk if buffer else chunk
+                size = len(buffer)
+                pos = 0
+                missing = 0
+                while size - pos >= header_size:
+                    start = pos + header_size
+                    try:
+                        end = start + codec.body_length(buffer[pos:start])
+                    except CodecError:
+                        # Corrupt prefix — or a peer speaking the other wire
+                        # codec (the binary magic/version check lands here).
+                        return
+                    if end > size:
+                        missing = end - size
+                        break
+                    try:
+                        src, msg = codec.decode_frame(buffer[start:end])
+                    except CodecError:
+                        return  # corrupt peer: drop the connection
+                    if self._obs_on:
+                        self._m_recv_frames.inc()
+                        self._m_recv_bytes.inc(end - pos)
+                        self._m_codec_rx_frames.inc()
+                        self._m_codec_rx_bytes.inc(end - pos)
+                    self._dispatch(src, msg)
+                    pos = end
+                buffer = buffer[pos:]
         except (asyncio.IncompleteReadError, ConnectionError, OSError):
             pass
         finally:
@@ -319,35 +376,67 @@ class TcpTransport:
 
     # ----------------------------------------------------------- outbound path
 
-    def _enqueue(self, dst: int, frame: bytes) -> None:
-        """Loop thread: queue a frame and make sure the pump runs."""
+    def _flush(self) -> None:
+        """Loop thread: move every pending frame into its peer's outbox."""
+        with self._pending_lock:
+            pending, self._pending = self._pending, []
+            self._flush_scheduled = False
         if self._closed:
             return
-        outbox = self._outboxes.get(dst)
-        if outbox is None:
-            outbox = asyncio.Queue()
-            self._outboxes[dst] = outbox
-        if outbox.qsize() >= self._queue_limit:
-            outbox.get_nowait()  # drop-oldest: fair-lossy link, not a log
+        for dst, frame in pending:
+            self._enqueue(dst, frame)
+
+    def _enqueue(self, dst: int, frame: bytes) -> None:
+        """Loop thread: queue a frame and make sure the pump runs."""
+        peer = self._peers.get(dst)
+        if peer is None:
+            peer = self._peers[dst] = _Peer()
+        outbox = peer.outbox
+        if len(outbox) + len(peer.inflight) >= self._queue_limit:
+            # Drop-oldest: fair-lossy link, not a log.  Queued frames go
+            # first; only with the whole bound in flight does the oldest
+            # in-flight frame give way (it may still reach the peer).
+            if outbox:
+                outbox.popleft()
+            else:
+                del peer.inflight[0]
             if self._obs_on:
                 self._peer_instruments(dst)[1].inc()
-        outbox.put_nowait(frame)
+        outbox.append(frame)
         if self._obs_on:
             self._peer_instruments(dst)[0].set(
-                outbox.qsize() + self._inflight.get(dst, 0))
-        pump = self._pumps.get(dst)
-        if pump is None or pump.done():
-            self._pumps[dst] = self._loop.create_task(self._pump(dst))
+                len(outbox) + len(peer.inflight))
+        peer.wake.set()
+        if peer.pump is None or peer.pump.done():
+            peer.pump = self._loop.create_task(self._pump(dst, peer))
 
     def _drop_pump(self, dst: int) -> None:
         """Loop thread: kill a peer's pump so it redials the new address."""
-        pump = self._pumps.pop(dst, None)
-        if pump is not None:
-            pump.cancel()
+        peer = self._peers.get(dst)
+        if peer is not None and peer.pump is not None:
+            peer.pump.cancel()
+            peer.pump = None
 
-    async def _pump(self, dst: int) -> None:
-        """Drain one peer's outbox over a (re)connecting stream."""
-        outbox = self._outboxes[dst]
+    @staticmethod
+    def _take_batch(outbox: Deque[bytes]) -> List[bytes]:
+        """Pop the oldest frames, up to MAX_WRITE_BYTES (at least one)."""
+        batch = [outbox.popleft()]
+        size = len(batch[0])
+        while outbox and size + len(outbox[0]) <= MAX_WRITE_BYTES:
+            frame = outbox.popleft()
+            batch.append(frame)
+            size += len(frame)
+        return batch
+
+    async def _pump(self, dst: int, peer: _Peer) -> None:
+        """Drain one peer's outbox over a (re)connecting stream.
+
+        Frames leave the outbox only once a connection is up, so while the
+        peer is down they all stay queued under the drop-oldest bound.  A
+        failed write puts the in-flight batch back at the outbox's head for
+        the next connection; the peer may then see part of it twice.
+        """
+        outbox = peer.outbox
         writer: Optional[asyncio.StreamWriter] = None
         failures = 0
         obs_on = self._obs_on
@@ -356,42 +445,46 @@ class TcpTransport:
                 self._peer_instruments(dst))
         try:
             while not self._closed:
-                frame = await outbox.get()
-                self._inflight[dst] = 1
-                if obs_on:
-                    m_depth.set(outbox.qsize() + 1)
-                while not self._closed:
-                    if writer is None:
-                        host, port = self._addresses[dst]
-                        try:
-                            _, writer = await asyncio.open_connection(
-                                host, port)
-                            if obs_on and failures:
-                                m_reconnects.inc()
-                            failures = 0
-                        except OSError:
-                            writer = None
-                            failures += 1
-                            await asyncio.sleep(self._backoff(failures))
-                            continue
+                if not outbox:
+                    peer.wake.clear()
+                    await peer.wake.wait()
+                    continue
+                if writer is None:
+                    host, port = self._addresses[dst]
                     try:
-                        writer.write(frame)
-                        await writer.drain()
-                        self._inflight[dst] = 0
-                        if obs_on:
-                            m_frames.inc()
-                            m_bytes.inc(len(frame))
-                            m_depth.set(outbox.qsize())
-                        break
-                    except (ConnectionError, OSError):
-                        writer.close()
-                        writer = None
+                        _, writer = await asyncio.open_connection(host, port)
+                    except OSError:
                         failures += 1
                         await asyncio.sleep(self._backoff(failures))
+                        continue
+                    if obs_on and failures:
+                        m_reconnects.inc()
+                    failures = 0
+                peer.inflight = self._take_batch(outbox)
+                data = b"".join(peer.inflight)
+                try:
+                    writer.write(data)
+                    await writer.drain()
+                except (ConnectionError, OSError):
+                    outbox.extendleft(reversed(peer.inflight))
+                    peer.inflight = []
+                    writer.close()
+                    writer = None
+                    failures += 1
+                    await asyncio.sleep(self._backoff(failures))
+                    continue
+                # Frames the bound dropped in flight count as drops only.
+                sent, peer.inflight = len(peer.inflight), []
+                if obs_on:
+                    m_frames.inc(sent)
+                    m_bytes.inc(len(data))
+                    m_depth.set(len(outbox))
         except asyncio.CancelledError:
             pass
         finally:
-            self._inflight[dst] = 0  # a cancelled pump's frame is lost
+            # A cancelled batch goes back too: a redialled peer gets it.
+            outbox.extendleft(reversed(peer.inflight))
+            peer.inflight = []
             if writer is not None:
                 writer.close()
 

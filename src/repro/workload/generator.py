@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from typing import Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.core.command import Command, stable_hash
 
@@ -47,6 +47,23 @@ MULTI_WRITE_OP = "add-all"
 
 #: Supported key distributions.
 KEY_DISTRIBUTIONS = ("uniform", "zipf")
+
+#: Services the generator can drive: the linked lists take the paper's
+#: ``contains``/``add``; kv gets ``get``/``put`` and bank ``balance``/
+#: ``deposit`` on the same keys, so the read/write mix is unchanged.
+_SERVICES = ("linked-list", "linked-list-keyed", "kv", "bank")
+
+
+def _service_op(service: str, key: int, is_write: bool,
+                sequence: int) -> Tuple[str, Tuple[Any, ...]]:
+    """The read or write command of ``service`` on ``key``."""
+    if service == "kv":
+        return ("put", (key, sequence)) if is_write else ("get", (key,))
+    if service == "bank":
+        account = f"acct-{key}"
+        return (("deposit", (account, 1)) if is_write
+                else ("balance", (account,)))
+    return (WRITE_OP if is_write else READ_OP), (key,)
 
 
 def _zipf_cdf(key_space: int, s: float) -> Tuple[float, ...]:
@@ -80,6 +97,7 @@ class WorkloadGenerator:
         cross_partition_fraction: float = 0.0,
         n_partitions: Optional[int] = None,
         keys_per_cross: int = 2,
+        service: str = "linked-list",
     ):
         """Args:
             write_pct: Percentage of write (``add``) commands in [0, 100].
@@ -100,6 +118,9 @@ class WorkloadGenerator:
                 group count (repro.groups).
             keys_per_cross: Keys per cross-partition command (>= 2), each
                 in a different partition.
+            service: Whose operations to emit: ``"linked-list"``,
+                ``"linked-list-keyed"``, ``"kv"`` or ``"bank"``;
+                cross-partition commands need a linked-list service.
         """
         if not 0.0 <= write_pct <= 100.0:
             raise ValueError(f"write_pct must be in [0, 100], got {write_pct}")
@@ -111,11 +132,18 @@ class WorkloadGenerator:
                 f"{key_dist!r}")
         if zipf_s < 0.0:
             raise ValueError(f"zipf_s must be >= 0, got {zipf_s}")
+        if service not in _SERVICES:
+            raise ValueError(
+                f"service must be one of {_SERVICES}, got {service!r}")
         if not 0.0 <= cross_partition_fraction <= 1.0:
             raise ValueError(
                 f"cross_partition_fraction must be in [0, 1], got "
                 f"{cross_partition_fraction}")
         if cross_partition_fraction > 0.0:
+            if not service.startswith("linked-list"):
+                raise ValueError(
+                    f"cross-partition commands need a linked-list service, "
+                    f"got {service!r}")
             if n_partitions is None:
                 raise ValueError(
                     "cross_partition_fraction > 0 requires n_partitions")
@@ -140,6 +168,7 @@ class WorkloadGenerator:
         self.cross_partition_fraction = cross_partition_fraction
         self.n_partitions = n_partitions
         self.keys_per_cross = keys_per_cross
+        self.service = service
         self._zipf_cdf: Optional[Tuple[float, ...]] = (
             _zipf_cdf(key_space, zipf_s) if key_dist == "zipf" else None)
 
@@ -212,10 +241,11 @@ class WorkloadGenerator:
                 request_id=self._issued,
                 writes=is_write,
             )
-        key = self._draw_key()
+        op, args = _service_op(self.service, self._draw_key(), is_write,
+                               self._issued)
         return Command(
-            op=WRITE_OP if is_write else READ_OP,
-            args=(key,),
+            op=op,
+            args=args,
             client_id=self._client_id,
             request_id=self._issued,
             writes=is_write,

@@ -8,6 +8,8 @@ the cluster keeps serving.  This file is the CI cluster smoke job.
 
 import json
 
+import pytest
+
 from repro.core.command import Command
 from repro.net.bench import NetBenchConfig, run_net_bench
 from repro.net.client import NetClient
@@ -59,3 +61,13 @@ def test_net_bench_writes_artifact(tmp_path):
     assert data["executed"] == 48
     assert data["throughput"] > 0
     assert data["crash_injected"] is False
+
+
+@pytest.mark.parametrize("service", ["kv", "bank"])
+def test_net_bench_drives_each_service_with_its_own_ops(service):
+    # Regression: the bench fed linked-list contains/add to every service,
+    # so kv and bank rejected all of them and every client timed out.
+    config = NetBenchConfig(n_replicas=3, n_clients=2, batch=4, ops=16,
+                            service=service, client_timeout=3.0, seed=3)
+    result = run_net_bench(config)
+    assert (result.executed, result.errors) == (16, 0)

@@ -394,7 +394,68 @@ class TestTcpOutboxDepthGauge:
             assert gauge.value + drops.value == 4, (
                 f"frames leaked from the accounting: depth {gauge.value} "
                 f"+ drops {drops.value} != 4 sent")
-            # queue capped at 2 + at most 1 in flight: something dropped.
+            # queued plus in-flight frames capped at 2: something dropped.
             assert drops.value >= 1
         finally:
             transport.close()
+
+    def test_queued_plus_in_flight_never_exceed_queue_limit(self):
+        # Peer down, queue_limit=k: the gauge (queued + in flight) must
+        # never read above k, and the newest k frames are what stays.  A
+        # pump that took a batch and retried it while the peer was down
+        # used to hold k queued frames beside it.
+        import time
+
+        limit, total = 3, 40
+        registry = MetricsRegistry()
+        transport = self._transport(registry, queue_limit=limit)
+        try:
+            gauge = registry.gauge("net_outbox_depth", peer="1")
+            drops = registry.counter("net_outbox_drops_total", peer="1")
+            observed = []
+            for index in range(total):
+                transport.send(0, 1, ("ping", index))
+                observed.append(gauge.value)
+                if index % 8 == 0:
+                    time.sleep(0.03)  # let the pump fail and retry
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline:
+                observed.append(gauge.value)
+                if gauge.value + drops.value == total:
+                    break
+                time.sleep(0.01)
+            assert max(observed) <= limit, (
+                f"net_outbox_depth reached {max(observed)} > {limit}")
+            assert gauge.value == limit
+            assert drops.value == total - limit
+        finally:
+            transport.close()
+
+    def test_frames_sent_counts_frames_not_writes(self):
+        # Coalesced writes still count every frame they carried.
+        import time
+
+        from repro.net.config import free_port
+        from repro.net.transport import TcpTransport
+
+        registry = MetricsRegistry()
+        addresses = {0: ("127.0.0.1", free_port()),
+                     1: ("127.0.0.1", free_port())}
+        receiver = TcpTransport(1, addresses).start()
+        sender = TcpTransport(0, addresses, registry=registry).start()
+        try:
+            total = 200
+            for index in range(total):
+                sender.send(0, 1, ("ping", index))
+            inbox = receiver.inbox(1)
+            for _ in range(total):
+                inbox.get(timeout=5)
+            frames = registry.counter("net_frames_sent_total", peer="1")
+            deadline = time.monotonic() + 5.0
+            while frames.value < total and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert frames.value == total
+            assert registry.gauge("net_outbox_depth", peer="1").value == 0
+        finally:
+            sender.close()
+            receiver.close()

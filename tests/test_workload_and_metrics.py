@@ -200,6 +200,36 @@ class TestCrossPartitionMode:
             WorkloadGenerator(10.0, **kwargs)
 
 
+class TestServiceVocabulary:
+    @pytest.mark.parametrize("service", ["kv", "bank"])
+    def test_every_command_executes_on_its_service(self, service):
+        from repro.apps import build_service
+
+        target = build_service(service)
+        generator = WorkloadGenerator(50.0, key_space=20, seed=4,
+                                      service=service)
+        commands = generator.commands(200)
+        assert {command.writes for command in commands} == {True, False}
+        for command in commands:
+            target.execute(command)  # raises on a foreign op
+
+    def test_linked_list_stream_unchanged(self):
+        def stream(**kwargs):
+            return [(c.op, c.args, c.writes) for c in
+                    WorkloadGenerator(30.0, seed=9, **kwargs).commands(100)]
+
+        assert stream() == stream(service="linked-list")
+
+    def test_unknown_service_rejected(self):
+        with pytest.raises(ValueError):
+            WorkloadGenerator(10.0, service="nope")
+
+    def test_cross_partition_needs_linked_list(self):
+        with pytest.raises(ValueError):
+            WorkloadGenerator(10.0, service="kv", n_partitions=2,
+                              cross_partition_fraction=0.5)
+
+
 class TestMetrics:
     def test_counts(self):
         metrics = Metrics(Simulator())

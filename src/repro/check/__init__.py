@@ -10,10 +10,15 @@ explored schedule is validated against the COS sequential specification
 (paper §3.3) plus deadlock/lost-wakeup detection.  Failing schedules are
 shrunk and frozen into deterministic replay files.
 
+The protocol-level harnesses (leases, the partition merge, optimistic
+rollback) share one decision-walk kernel, :mod:`repro.check.walk`, which
+also owns the replay-file format for every harness.
+
 Entry points:
 
 - CLI: ``python -m repro check --algorithm lock_free --workers 3 --commands 5``
-- API: :func:`run_check` / :func:`~repro.check.explorer.explore`
+- API: :func:`run_check` / :func:`~repro.check.explorer.explore`, and
+  :func:`run_walk_check` for the walk harnesses
 - docs: ``docs/model_checking.md``
 """
 
@@ -31,19 +36,16 @@ from repro.check.harness import (
 from repro.check.independence import independent
 from repro.check.mutants import MUTANTS, make_mutant
 from repro.check.oracle import SpecOracle, Violation
-from repro.check.paxos_lease import (
-    LEASE_MUTANTS,
-    LeaseCheckConfig,
-    LeaseCheckReport,
-    run_lease_check,
-)
-from repro.check.replay import load_replay, replay, save_replay
+from repro.check.paxos_lease import LEASE_MUTANTS, LeaseCheckConfig
 from repro.check.shrink import ShrinkResult, shrink
-from repro.check.spec_rollback import (
-    SPEC_MUTANTS,
-    SpecCheckConfig,
-    SpecCheckReport,
-    run_spec_check,
+from repro.check.spec_rollback import SPEC_MUTANTS, SpecCheckConfig
+from repro.check.walk import (
+    WALK_HARNESSES,
+    WalkReport,
+    load_replay,
+    replay,
+    run_walk_check,
+    save_replay,
 )
 
 __all__ = [
@@ -53,14 +55,14 @@ __all__ = [
     "ExploreResult",
     "LEASE_MUTANTS",
     "LeaseCheckConfig",
-    "LeaseCheckReport",
     "MUTANTS",
     "SPEC_MUTANTS",
     "ShrinkResult",
     "SpecCheckConfig",
-    "SpecCheckReport",
     "SpecOracle",
     "Violation",
+    "WALK_HARNESSES",
+    "WalkReport",
     "explore",
     "explore_random",
     "independent",
@@ -68,8 +70,7 @@ __all__ = [
     "make_mutant",
     "replay",
     "run_check",
-    "run_lease_check",
-    "run_spec_check",
+    "run_walk_check",
     "run_with_decisions",
     "save_replay",
     "shrink",

@@ -46,8 +46,9 @@ Oracles, as the walk progresses:
 Checker self-validation uses :data:`SPEC_MUTANTS` — seeded engine bugs
 the walk must catch within a bounded budget (``spec-skip-undo`` rolls
 back without applying undo records; see tests/test_spec_check.py).
-Counterexamples are shrunk ddmin-style and frozen into replay files
-marked ``"harness": "spec-rollback"``.
+Exploration, ddmin shrinking and replay files (marked ``"harness":
+"spec-rollback"``) come from the decision-walk kernel,
+:mod:`repro.check.walk`.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional
 
 from repro.apps.kvstore import KVStoreService
 from repro.check.oracle import Violation
@@ -67,20 +68,9 @@ from repro.spec.engine import SkipUndoEngine, SpeculationEngine
 __all__ = [
     "SPEC_MUTANTS",
     "SpecCheckConfig",
-    "SpecCheckReport",
     "SpecRollbackHarness",
-    "load_spec_replay",
-    "replay_spec",
-    "run_spec_check",
-    "run_spec_schedule",
-    "save_spec_replay",
-    "shrink_spec",
+    "generate_schedule",
 ]
-
-#: Value of the ``"harness"`` key in this module's replay files.
-REPLAY_HARNESS = "spec-rollback"
-
-_VERSION = 1
 
 #: Speculation-harness mutants, deliberately separate from the COS,
 #: lease, and groups registries (different harness, different oracles).
@@ -273,17 +263,6 @@ class SpecRollbackHarness:
         return None
 
 
-def run_spec_schedule(config: SpecCheckConfig,
-                      decisions: List[str]) -> Optional[Violation]:
-    """Deterministically run one decision list; first violation or None."""
-    harness = SpecRollbackHarness(config)
-    for step, decision in enumerate(decisions):
-        violation = harness.apply(decision, step)
-        if violation is not None:
-            return violation
-    return harness.finish(len(decisions))
-
-
 # ------------------------------------------------------------- exploration
 
 def generate_schedule(config: SpecCheckConfig,
@@ -317,132 +296,3 @@ def generate_schedule(config: SpecCheckConfig,
         else:
             decisions.append(f"adv:{rng.randrange(config.n_replicas)}")
     return decisions
-
-
-def shrink_spec(config: SpecCheckConfig, decisions: List[str],
-                max_candidates: int = 400,
-                ) -> Tuple[List[str], Violation, int]:
-    """ddmin-style shrink: drop chunks while some violation persists."""
-    current = list(decisions)
-    violation = run_spec_schedule(config, current)
-    if violation is None:
-        raise SimulationError("shrink_spec needs a violating schedule")
-    tried = 0
-    chunk = max(1, len(current) // 2)
-    while tried < max_candidates:
-        index = 0
-        removed = False
-        while index < len(current) and tried < max_candidates:
-            candidate = current[:index] + current[index + chunk:]
-            tried += 1
-            found = run_spec_schedule(config, candidate)
-            if found is not None:
-                current, violation, removed = candidate, found, True
-            else:
-                index += chunk
-        if chunk == 1 and not removed:
-            break
-        if not removed:
-            chunk = max(1, chunk // 2)
-    return current, violation, tried
-
-
-@dataclass
-class SpecCheckReport:
-    """Everything one spec-rollback exploration produced."""
-
-    config: SpecCheckConfig
-    schedules_explored: int
-    violation: Optional[Violation] = None
-    decisions: Optional[List[str]] = None
-    shrunk_decisions: Optional[List[str]] = None
-    shrink_candidates: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return self.violation is None
-
-    def describe(self) -> str:
-        if self.ok:
-            return (f"explored {self.schedules_explored} schedules: "
-                    f"no violation")
-        assert self.violation is not None
-        return (f"explored {self.schedules_explored} schedules: "
-                f"{self.violation.describe()}")
-
-
-def run_spec_check(
-    config: SpecCheckConfig,
-    *,
-    max_schedules: int = 200,
-    seed: int = 0,
-    shrink_counterexamples: bool = True,
-    max_shrink_candidates: int = 400,
-) -> SpecCheckReport:
-    """Random-walk the schedule space; shrink the first counterexample."""
-    for index in range(max_schedules):
-        rng = random.Random(seed * 1_000_003 + index)
-        decisions = generate_schedule(config, rng)
-        violation = run_spec_schedule(config, decisions)
-        if violation is None:
-            continue
-        report = SpecCheckReport(
-            config=config,
-            schedules_explored=index + 1,
-            violation=violation,
-            decisions=decisions,
-        )
-        if shrink_counterexamples:
-            shrunk, shrunk_violation, tried = shrink_spec(
-                config, decisions, max_candidates=max_shrink_candidates)
-            report.shrunk_decisions = shrunk
-            report.violation = shrunk_violation
-            report.shrink_candidates = tried
-        return report
-    return SpecCheckReport(config=config, schedules_explored=max_schedules)
-
-
-# ------------------------------------------------------------------ replay
-
-def save_spec_replay(path: str, config: SpecCheckConfig,
-                     decisions: List[str], violation: Violation) -> None:
-    """Write a spec-rollback counterexample replay file."""
-    document = {
-        "version": _VERSION,
-        "harness": REPLAY_HARNESS,
-        "config": config.as_dict(),
-        "decisions": list(decisions),
-        "violation": {
-            "kind": violation.kind,
-            "message": violation.message,
-            "step": violation.step,
-        },
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
-
-
-def load_spec_replay(
-        path: str) -> Tuple[SpecCheckConfig, List[str], Violation]:
-    """Read a spec replay back into (config, decisions, violation)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        document: Dict[str, Any] = json.load(handle)
-    if document.get("harness") != REPLAY_HARNESS:
-        raise SimulationError(
-            f"{path} is not a {REPLAY_HARNESS} replay file")
-    if document.get("version") != _VERSION:
-        raise SimulationError(
-            f"unsupported replay file version {document.get('version')!r}")
-    config = SpecCheckConfig.from_dict(document["config"])
-    recorded = document["violation"]
-    violation = Violation(recorded["kind"], recorded["message"],
-                          recorded.get("step"))
-    return config, list(document["decisions"]), violation
-
-
-def replay_spec(path: str) -> Optional[Violation]:
-    """Re-run a recorded counterexample; the violation seen, or None if
-    the recorded schedule no longer violates (e.g. the bug was fixed)."""
-    config, decisions, _recorded = load_spec_replay(path)
-    return run_spec_schedule(config, decisions)

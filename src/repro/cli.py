@@ -147,12 +147,11 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--seed", type=int, default=0,
                        help="seed for the random-walk exploration stage")
     check.add_argument("--mutant", default=None,
-                       help="check a seeded-bug variant (repro.check."
-                            "mutants, a lease mutant from repro.check."
-                            "paxos_lease, a groups mutant from "
-                            "repro.check.groups_rendezvous, or a spec "
-                            "mutant from repro.check.spec_rollback) "
-                            "instead of the real implementation")
+                       help="check a seeded-bug variant instead of the "
+                            "real implementation: a COS mutant "
+                            "(repro.check.mutants) or a walk harness's "
+                            "mutant, which also selects that harness "
+                            "(repro.check.walk)")
     check.add_argument("--replay", metavar="FILE",
                        help="re-run a recorded counterexample file instead "
                             "of exploring")
@@ -351,30 +350,18 @@ def _cmd_smr_wallclock(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     from repro.check import CheckConfig, run_check
-    from repro.check.groups_rendezvous import GROUPS_MUTANTS, replay_groups
-    from repro.check.paxos_lease import (
-        LEASE_MUTANTS,
-        replay_harness_kind,
-        replay_lease,
+    from repro.check.walk import (
+        replay,
+        resolve_walk,
+        run_walk_check,
+        save_replay,
     )
-    from repro.check.replay import replay as replay_file
-    from repro.check.replay import save_replay
-    from repro.check.spec_rollback import SPEC_MUTANTS, replay_spec
+    from repro.errors import SimulationError
 
     if args.replay:
         try:
-            # Lease/groups/spec-harness replays carry a "harness" key; COS
-            # replays (version-1 format) have none — dispatch on it.
-            kind = replay_harness_kind(args.replay)
-            if kind == "paxos-lease":
-                violation = replay_lease(args.replay)
-            elif kind == "groups-rendezvous":
-                violation = replay_groups(args.replay)
-            elif kind == "spec-rollback":
-                violation = replay_spec(args.replay)
-            else:
-                violation = replay_file(args.replay, max_steps=args.max_steps)
-        except (OSError, ValueError, KeyError) as error:
+            violation = replay(args.replay, max_steps=args.max_steps)
+        except (OSError, ValueError, KeyError, SimulationError) as error:
             print(f"error: cannot replay {args.replay}: {error}",
                   file=sys.stderr)
             return 2
@@ -385,167 +372,56 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 1
 
     algorithm = args.algorithm.replace("_", "-")
-    if algorithm == "paxos-lease" or args.mutant in LEASE_MUTANTS:
-        return _cmd_check_lease(args)
-    if algorithm == "groups-rendezvous" or args.mutant in GROUPS_MUTANTS:
-        return _cmd_check_groups(args)
-    if algorithm == "spec-rollback" or args.mutant in SPEC_MUTANTS:
-        return _cmd_check_spec(args)
-
-    config = CheckConfig(
-        algorithm=args.algorithm.replace("_", "-"),
-        workers=args.workers,
-        commands=args.commands,
-        max_size=args.max_size,
-        write_every=args.write_every,
-        mutant=args.mutant,
-    )
+    walk = resolve_walk(algorithm, args.mutant)
     try:
-        report = run_check(
-            config,
-            max_schedules=args.max_schedules,
-            max_steps=args.max_steps,
-            use_sleep_sets=not args.no_dpor,
-            seed=args.seed,
-        )
+        if walk is None:
+            config = CheckConfig(
+                algorithm=algorithm,
+                workers=args.workers,
+                commands=args.commands,
+                max_size=args.max_size,
+                write_every=args.write_every,
+                mutant=args.mutant,
+            )
+            report = run_check(
+                config,
+                max_schedules=args.max_schedules,
+                max_steps=args.max_steps,
+                use_sleep_sets=not args.no_dpor,
+                seed=args.seed,
+            )
+        else:
+            algorithm = walk.name
+            config = walk.config(mutant=args.mutant)
+            report = run_walk_check(
+                config, max_schedules=args.max_schedules, seed=args.seed)
     except ValueError as error:  # unknown algorithm / unknown mutant
         print(f"error: {error}", file=sys.stderr)
         return 2
-    mutant = f" mutant={config.mutant}" if config.mutant else ""
-    print(f"check algorithm={config.algorithm}{mutant} "
-          f"workers={config.workers} commands={config.commands} "
-          f"max_size={config.max_size}")
-    print(report.result.describe())
-    if report.ok:
-        return 0
-    if report.shrunk is not None:
+    mutant = f" mutant={args.mutant}" if args.mutant else ""
+    settings = " ".join(f"{key}={value}"
+                        for key, value in config.as_dict().items()
+                        if key not in ("algorithm", "mutant"))
+    print(f"check algorithm={algorithm}{mutant} {settings}")
+    if walk is None:
+        print(report.result.describe())
         shrunk = report.shrunk
-        print(f"shrunk counterexample: {len(shrunk.decisions)} decisions, "
+        if shrunk is None:
+            return 0 if report.ok else 1
+        decisions, violation = shrunk.decisions, shrunk.violation
+        print(f"shrunk counterexample: {len(decisions)} decisions, "
               f"{shrunk.context_switches} context switches "
               f"({shrunk.candidates_tried} candidates tried)")
-        save_replay(args.replay_out, config, shrunk.decisions,
-                    shrunk.violation)
-        print(f"replay file written to {args.replay_out} "
-              f"(re-run with: python -m repro check --replay "
-              f"{args.replay_out})")
-    return 1
-
-
-def _cmd_check_lease(args: argparse.Namespace) -> int:
-    """The paxos-lease harness branch of ``repro check``.
-
-    Selected by ``--algorithm paxos-lease`` or any ``--mutant`` from the
-    lease registry; explores seeded random-walk schedules over the lease
-    protocol instead of COS thread interleavings (repro.check.paxos_lease).
-    """
-    from repro.check.paxos_lease import (
-        LeaseCheckConfig,
-        run_lease_check,
-        save_lease_replay,
-    )
-
-    config = LeaseCheckConfig(mutant=args.mutant)
-    try:
-        report = run_lease_check(
-            config, max_schedules=args.max_schedules, seed=args.seed)
-    except ValueError as error:  # unknown mutant
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    mutant = f" mutant={config.mutant}" if config.mutant else ""
-    print(f"check algorithm=paxos-lease{mutant} nodes={config.n_nodes} "
-          f"lease={config.lease_duration}s margin={config.lease_margin}s "
-          f"skew={config.clock_skew}")
-    print(report.describe())
-    if report.ok:
-        return 0
-    if report.shrunk_decisions is not None:
-        print(f"shrunk counterexample: {len(report.shrunk_decisions)} "
-              f"decisions ({report.shrink_candidates} candidates tried)")
-        save_lease_replay(args.replay_out, config, report.shrunk_decisions,
-                          report.violation)
-        print(f"replay file written to {args.replay_out} "
-              f"(re-run with: python -m repro check --replay "
-              f"{args.replay_out})")
-    return 1
-
-
-def _cmd_check_groups(args: argparse.Namespace) -> int:
-    """The groups-rendezvous harness branch of ``repro check``.
-
-    Selected by ``--algorithm groups-rendezvous`` or any ``--mutant`` from
-    the groups registry; explores seeded random walks over per-replica
-    interleavings of the partitions' consensus logs and checks that the
-    rendezvous merge rule yields one deterministic total order
-    (repro.check.groups_rendezvous, docs/partitioning.md).
-    """
-    from repro.check.groups_rendezvous import (
-        GroupsCheckConfig,
-        run_groups_check,
-        save_groups_replay,
-    )
-
-    config = GroupsCheckConfig(mutant=args.mutant)
-    try:
-        report = run_groups_check(
-            config, max_schedules=args.max_schedules, seed=args.seed)
-    except ValueError as error:  # unknown mutant
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    mutant = f" mutant={config.mutant}" if config.mutant else ""
-    print(f"check algorithm=groups-rendezvous{mutant} "
-          f"groups={config.n_groups} replicas={config.n_replicas} "
-          f"keys={config.key_space} length={config.schedule_length}")
-    print(report.describe())
-    if report.ok:
-        return 0
-    if report.shrunk_decisions is not None:
-        print(f"shrunk counterexample: {len(report.shrunk_decisions)} "
-              f"decisions ({report.shrink_candidates} candidates tried)")
-        save_groups_replay(args.replay_out, config, report.shrunk_decisions,
-                           report.violation)
-        print(f"replay file written to {args.replay_out} "
-              f"(re-run with: python -m repro check --replay "
-              f"{args.replay_out})")
-    return 1
-
-
-def _cmd_check_spec(args: argparse.Namespace) -> int:
-    """The spec-rollback harness branch of ``repro check``.
-
-    Selected by ``--algorithm spec-rollback`` or any ``--mutant`` from the
-    spec registry; explores seeded random walks over per-replica
-    optimistic delivery orders and checks the commit/rollback rule
-    against a sequential reference execution of the conservative order
-    (repro.check.spec_rollback, docs/speculation.md).
-    """
-    from repro.check.spec_rollback import (
-        SpecCheckConfig,
-        run_spec_check,
-        save_spec_replay,
-    )
-
-    config = SpecCheckConfig(mutant=args.mutant)
-    try:
-        report = run_spec_check(
-            config, max_schedules=args.max_schedules, seed=args.seed)
-    except ValueError as error:  # unknown mutant
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    mutant = f" mutant={config.mutant}" if config.mutant else ""
-    print(f"check algorithm=spec-rollback{mutant} "
-          f"replicas={config.n_replicas} keys={config.key_space} "
-          f"length={config.schedule_length}")
-    print(report.describe())
-    if report.ok:
-        return 0
-    if report.shrunk_decisions is not None:
-        print(f"shrunk counterexample: {len(report.shrunk_decisions)} "
-              f"decisions ({report.shrink_candidates} candidates tried)")
-        save_spec_replay(args.replay_out, config, report.shrunk_decisions,
-                         report.violation)
-        print(f"replay file written to {args.replay_out} "
-              f"(re-run with: python -m repro check --replay "
-              f"{args.replay_out})")
+    else:
+        print(report.describe())
+        if report.shrunk_decisions is None:
+            return 0 if report.ok else 1
+        decisions, violation = report.shrunk_decisions, report.violation
+        print(f"shrunk counterexample: {len(decisions)} decisions "
+              f"({report.shrink_candidates} candidates tried)")
+    save_replay(args.replay_out, config, decisions, violation)
+    print(f"replay file written to {args.replay_out} "
+          f"(re-run with: python -m repro check --replay {args.replay_out})")
     return 1
 
 

@@ -6,8 +6,9 @@ commands into **conflict classes** known a priori.  Every class keeps a FIFO
 queue; a command is enqueued in each of its classes at delivery time and is
 executable once it reaches the *head of every queue it belongs to*.
 
-Trade-off against the lock-free DAG, explored by
-``benchmarks/bench_class_based.py``:
+Trade-off against the lock-free DAG, explored by the
+``ablation_class_scheduler`` sweep in ``repro/bench/ablations.py`` (run by
+``benchmarks/bench_ablations.py``):
 
 - ``insert`` is O(#classes of the command) — no full-graph walk, so the
   scheduler thread never becomes the bottleneck;

@@ -10,8 +10,14 @@ import json
 import pytest
 
 from conftest import GRAPH_ALGORITHMS
-from repro.check import CheckConfig, run_check, run_with_decisions
-from repro.check.replay import load_replay, replay, save_replay
+from repro.check import (
+    CheckConfig,
+    load_replay,
+    replay,
+    run_check,
+    run_with_decisions,
+    save_replay,
+)
 from repro.cli import main
 from repro.errors import SimulationError
 
@@ -39,22 +45,35 @@ def test_cli_check_accepts_underscores_and_exits_zero(capsys):
     assert "schedules explored" in out
 
 
-def test_cli_check_mutant_writes_replay_file(tmp_path, capsys):
+#: mutant -> (extra CLI arguments, violation kind after shrinking).  The
+#: three walk mutants select their harness by name alone.
+CLI_MUTANTS = {
+    "drop-helped-remove": (["--workers", "2", "--commands", "3",
+                            "--max-size", "2", "--write-every", "1",
+                            "--max-schedules", "500", "--max-steps", "2000"],
+                           "graph-leak"),
+    "lease-ignore-expiry": (["--max-schedules", "400"], "lease-overlap"),
+    "groups-skip-hold": (["--max-schedules", "200"], "position-divergence"),
+    "spec-skip-undo": (["--max-schedules", "200"], "response-divergence"),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(CLI_MUTANTS))
+def test_cli_check_mutant_writes_replay_file(mutant, tmp_path, capsys):
+    extra, kind = CLI_MUTANTS[mutant]
     out_file = tmp_path / "cex.json"
-    code = main(["check", "--mutant", "drop-helped-remove", "--workers", "2",
-                 "--commands", "3", "--max-size", "2", "--write-every", "1",
-                 "--max-schedules", "500", "--max-steps", "2000",
+    code = main(["check", "--mutant", mutant, *extra,
                  "--replay-out", str(out_file)])
     out = capsys.readouterr().out
     assert code == 1
-    assert "VIOLATION [graph-leak]" in out
+    assert f"[{kind}]" in out
     assert out_file.exists()
 
     replay_code = main(["check", "--replay", str(out_file),
                         "--max-steps", "2000"])
     replay_out = capsys.readouterr().out
     assert replay_code == 1
-    assert "reproduced [graph-leak]" in replay_out
+    assert f"reproduced [{kind}]" in replay_out
 
 
 def test_replay_file_roundtrip(tmp_path):

@@ -3,13 +3,11 @@
 A harness that only ever passes on correct code proves nothing: the seeded
 ``lease-ignore-expiry`` mutant must be caught within a bounded schedule
 budget, its counterexample must shrink, and the frozen replay file must
-reproduce the violation deterministically (and dispatch correctly next to
-COS replay files, which share the ``repro check --replay`` entry point).
+reproduce the violation deterministically.  The kernel-level behaviours
+are shared with the other walk harnesses (tests/walk_cases.py).
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -17,111 +15,46 @@ from repro.check.paxos_lease import (
     LEASE_MUTANTS,
     LeaseCheckConfig,
     LeaseHarness,
-    load_lease_replay,
-    replay_harness_kind,
-    replay_lease,
-    run_lease_check,
-    run_lease_schedule,
-    save_lease_replay,
-    shrink_lease,
 )
+from repro.check.walk import run_walk_check
 from repro.errors import SimulationError
+from walk_cases import (
+    CatchingCases,
+    DeterminismCases,
+    ReplayCases,
+    ShrinkingCases,
+    WalkCase,
+)
 
-BUDGET = 400
+CASE = WalkCase(LeaseCheckConfig, "lease-ignore-expiry", budget=400,
+                passing=["tick:0.01"])
 
 
-def caught_report(seed: int = 0):
-    config = LeaseCheckConfig(mutant="lease-ignore-expiry")
-    return config, run_lease_check(config, max_schedules=BUDGET, seed=seed)
+class TestMutantCatching(CatchingCases):
+    case = CASE
 
-
-class TestMutantCatching:
     def test_lease_ignore_expiry_is_caught_within_budget(self):
-        _, report = caught_report()
+        _, report = CASE.caught()
         assert not report.ok, (
-            f"lease-ignore-expiry escaped {BUDGET} schedules")
+            f"lease-ignore-expiry escaped {CASE.budget} schedules")
         assert report.violation.kind in ("lease-overlap", "stale-read")
-        assert report.schedules_explored <= BUDGET
-
-    def test_catch_is_seed_robust(self):
-        for seed in (1, 2, 3):
-            config = LeaseCheckConfig(mutant="lease-ignore-expiry")
-            report = run_lease_check(config, max_schedules=BUDGET,
-                                     seed=seed,
-                                     shrink_counterexamples=False)
-            assert not report.ok, f"mutant escaped under seed {seed}"
+        assert report.schedules_explored <= CASE.budget
 
     def test_unknown_mutant_is_rejected(self):
         with pytest.raises(ValueError, match="unknown lease mutant"):
-            run_lease_check(LeaseCheckConfig(mutant="nope"),
-                            max_schedules=1)
+            run_walk_check(LeaseCheckConfig(mutant="nope"), max_schedules=1)
 
 
-class TestShrinking:
-    def test_counterexample_shrinks(self):
-        config, report = caught_report()
-        assert report.shrunk_decisions is not None
-        assert len(report.shrunk_decisions) < len(report.decisions)
-        # The shrunk schedule still violates on its own.
-        violation = run_lease_schedule(config, report.shrunk_decisions)
-        assert violation is not None
-
-    def test_shrink_requires_a_violating_schedule(self):
-        config = LeaseCheckConfig()
-        with pytest.raises(SimulationError):
-            shrink_lease(config, ["tick:0.01"])
+class TestShrinking(ShrinkingCases):
+    case = CASE
 
 
-class TestReplay:
-    def test_replay_reproduces_the_shrunk_violation(self, tmp_path):
-        config, report = caught_report()
-        path = str(tmp_path / "lease-ce.json")
-        save_lease_replay(path, config, report.shrunk_decisions,
-                          report.violation)
-        assert replay_harness_kind(path) == "paxos-lease"
-        reproduced = replay_lease(path)
-        assert reproduced is not None
-        assert reproduced.kind == report.violation.kind
-        assert reproduced.step == report.violation.step
-
-    def test_replay_roundtrips_config_and_decisions(self, tmp_path):
-        config, report = caught_report()
-        path = str(tmp_path / "lease-ce.json")
-        save_lease_replay(path, config, report.shrunk_decisions,
-                          report.violation)
-        loaded_config, decisions, violation = load_lease_replay(path)
-        assert loaded_config == config
-        assert decisions == report.shrunk_decisions
-        assert violation.kind == report.violation.kind
-
-    def test_fixed_implementation_no_longer_violates(self, tmp_path):
-        # Replaying a mutant counterexample against the *fixed* protocol
-        # (mutant=None) must come back clean — the replay answers "is this
-        # bug still there", not "was it ever".
-        config, report = caught_report()
-        fixed = LeaseCheckConfig()
-        path = str(tmp_path / "lease-ce.json")
-        save_lease_replay(path, fixed, report.shrunk_decisions,
-                          report.violation)
-        assert replay_lease(path) is None
-
-    def test_cos_replay_files_are_not_claimed(self, tmp_path):
-        path = str(tmp_path / "cos-ce.json")
-        with open(path, "w") as handle:
-            json.dump({"version": 1, "config": {}, "decisions": [],
-                       "violation": {"kind": "double-get", "message": "x",
-                                     "step": 1}}, handle)
-        assert replay_harness_kind(path) is None
-        with pytest.raises(SimulationError):
-            load_lease_replay(path)
+class TestReplay(ReplayCases):
+    case = CASE
 
 
-class TestHarnessDeterminism:
-    def test_schedules_replay_bit_for_bit(self):
-        config, report = caught_report()
-        first = run_lease_schedule(config, report.decisions)
-        second = run_lease_schedule(config, report.decisions)
-        assert (first.kind, first.step) == (second.kind, second.step)
+class TestHarnessDeterminism(DeterminismCases):
+    case = CASE
 
     def test_unknown_decisions_are_rejected(self):
         harness = LeaseHarness(LeaseCheckConfig())

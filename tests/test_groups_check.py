@@ -3,14 +3,12 @@
 Same bar as the lease harness's suite: the seeded ``groups-skip-hold``
 mutant (release a rendezvous as soon as any one copy surfaces) must be
 caught within a bounded schedule budget, its counterexample must shrink,
-and the frozen replay file must reproduce the violation deterministically
-— and dispatch correctly next to COS and lease replay files, which all
-share the ``repro check --replay`` entry point.
+and the frozen replay file must reproduce the violation deterministically.
+The kernel-level behaviours are shared with the other walk harnesses
+(tests/walk_cases.py).
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -18,123 +16,59 @@ from repro.check.groups_rendezvous import (
     GROUPS_MUTANTS,
     GroupsCheckConfig,
     RendezvousHarness,
-    load_groups_replay,
-    replay_groups,
-    run_groups_check,
-    run_groups_schedule,
-    save_groups_replay,
-    shrink_groups,
 )
-from repro.check.paxos_lease import replay_harness_kind
+from repro.check.walk import run_schedule, run_walk_check
 from repro.errors import SimulationError
+from walk_cases import (
+    CatchingCases,
+    DeterminismCases,
+    ReplayCases,
+    ShrinkingCases,
+    WalkCase,
+)
 
-BUDGET = 200
+CASE = WalkCase(GroupsCheckConfig, "groups-skip-hold", budget=200,
+                passing=["sp:0"])
 
 
-def caught_report(seed: int = 0):
-    config = GroupsCheckConfig(mutant="groups-skip-hold")
-    return config, run_groups_check(config, max_schedules=BUDGET, seed=seed)
+class TestMutantCatching(CatchingCases):
+    case = CASE
 
-
-class TestMutantCatching:
     def test_skip_hold_is_caught_within_budget(self):
-        _, report = caught_report()
-        assert not report.ok, f"groups-skip-hold escaped {BUDGET} schedules"
+        _, report = CASE.caught()
+        assert not report.ok, (
+            f"groups-skip-hold escaped {CASE.budget} schedules")
         assert report.violation.kind in (
             "position-divergence", "class-divergence", "fifo-violation")
-        assert report.schedules_explored <= BUDGET
-
-    def test_catch_is_seed_robust(self):
-        for seed in (1, 2, 3):
-            config = GroupsCheckConfig(mutant="groups-skip-hold")
-            report = run_groups_check(config, max_schedules=BUDGET,
-                                      seed=seed,
-                                      shrink_counterexamples=False)
-            assert not report.ok, f"mutant escaped under seed {seed}"
+        assert report.schedules_explored <= CASE.budget
 
     def test_clean_merger_survives_exploration(self):
-        config = GroupsCheckConfig()
-        report = run_groups_check(config, max_schedules=40)
+        report = run_walk_check(GroupsCheckConfig(), max_schedules=40)
         assert report.ok, report.describe()
 
     def test_unknown_mutant_is_rejected(self):
         with pytest.raises(ValueError, match="unknown groups mutant"):
-            run_groups_check(GroupsCheckConfig(mutant="nope"),
-                             max_schedules=1)
+            run_walk_check(GroupsCheckConfig(mutant="nope"),
+                           max_schedules=1)
 
 
-class TestShrinking:
-    def test_counterexample_shrinks(self):
-        config, report = caught_report()
-        assert report.shrunk_decisions is not None
-        assert len(report.shrunk_decisions) < len(report.decisions)
-        # The shrunk schedule still violates on its own.
-        violation = run_groups_schedule(config, report.shrunk_decisions)
-        assert violation is not None
-
-    def test_shrink_requires_a_violating_schedule(self):
-        config = GroupsCheckConfig()
-        with pytest.raises(SimulationError):
-            shrink_groups(config, ["sp:0"])
+class TestShrinking(ShrinkingCases):
+    case = CASE
 
 
-class TestReplay:
-    def test_replay_reproduces_the_shrunk_violation(self, tmp_path):
-        config, report = caught_report()
-        path = str(tmp_path / "groups-ce.json")
-        save_groups_replay(path, config, report.shrunk_decisions,
-                           report.violation)
-        assert replay_harness_kind(path) == "groups-rendezvous"
-        reproduced = replay_groups(path)
-        assert reproduced is not None
-        assert reproduced.kind == report.violation.kind
-        assert reproduced.step == report.violation.step
-
-    def test_replay_roundtrips_config_and_decisions(self, tmp_path):
-        config, report = caught_report()
-        path = str(tmp_path / "groups-ce.json")
-        save_groups_replay(path, config, report.shrunk_decisions,
-                           report.violation)
-        loaded_config, decisions, violation = load_groups_replay(path)
-        assert loaded_config == config
-        assert decisions == report.shrunk_decisions
-        assert violation.kind == report.violation.kind
-
-    def test_fixed_implementation_no_longer_violates(self, tmp_path):
-        # Replaying a mutant counterexample against the *fixed* merge rule
-        # (mutant=None) must come back clean — the replay answers "is this
-        # bug still there", not "was it ever".
-        config, report = caught_report()
-        fixed = GroupsCheckConfig()
-        path = str(tmp_path / "groups-ce.json")
-        save_groups_replay(path, fixed, report.shrunk_decisions,
-                           report.violation)
-        assert replay_groups(path) is None
-
-    def test_foreign_replay_files_are_not_claimed(self, tmp_path):
-        path = str(tmp_path / "cos-ce.json")
-        with open(path, "w") as handle:
-            json.dump({"version": 1, "config": {}, "decisions": [],
-                       "violation": {"kind": "double-get", "message": "x",
-                                     "step": 1}}, handle)
-        assert replay_harness_kind(path) is None
-        with pytest.raises(SimulationError):
-            load_groups_replay(path)
+class TestReplay(ReplayCases):
+    case = CASE
 
 
-class TestHarnessDeterminism:
-    def test_schedules_replay_bit_for_bit(self):
-        config, report = caught_report()
-        first = run_groups_schedule(config, report.decisions)
-        second = run_groups_schedule(config, report.decisions)
-        assert (first.kind, first.step) == (second.kind, second.step)
+class TestHarnessDeterminism(DeterminismCases):
+    case = CASE
 
     def test_out_of_range_decisions_are_deterministic_noops(self):
         # Decision arguments are taken modulo the config's bounds and
         # exhausted advances do nothing: any recorded list replays.
         config = GroupsCheckConfig()
         decisions = ["sp:999", "adv:7,9", "adv:0,0", "dup:5", "xp:70-71"]
-        assert run_groups_schedule(config, decisions) is None
+        assert run_schedule(config, decisions) is None
 
     def test_unknown_decisions_are_rejected(self):
         harness = RendezvousHarness(GroupsCheckConfig())
